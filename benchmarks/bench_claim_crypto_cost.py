@@ -25,6 +25,8 @@ from repro.crypto.keys import RSAScheme, SimulatedScheme
 from repro.crypto.truststore import TrustPolicy, TrustStore
 from repro.crypto.x509 import CertificateAuthority
 
+from tests.differential.oracles import make_nested_bb_rar
+
 
 def request(rate_mbps=10.0):
     return ReservationRequest(
@@ -51,6 +53,9 @@ def build_world(scheme_name, hops):
 
 def build_chain(user_dn, user_kp, user_cert, bbs, *, append=False,
                 rate_mbps=10.0):
+    """The RAR chain over *bbs*: production's append-only layers, or by
+    default the fully nested §6.4 layers of the test-side oracle."""
+    wrap = make_bb_rar if append else make_nested_bb_rar
     rar = make_user_rar(
         request=request(rate_mbps), source_bb=bbs[0][0], user=user_dn,
         user_key=user_kp.private,
@@ -58,9 +63,9 @@ def build_chain(user_dn, user_kp, user_cert, bbs, *, append=False,
     prev_cert = user_cert
     for i in range(len(bbs) - 1):
         dn, kp, cert = bbs[i]
-        rar = make_bb_rar(
+        rar = wrap(
             inner=rar, introduced_cert=prev_cert, downstream=bbs[i + 1][0],
-            bb=dn, bb_key=kp.private, append=append,
+            bb=dn, bb_key=kp.private,
         )
         prev_cert = cert
     return rar

@@ -145,7 +145,6 @@ def _eight_hop_append_wire():
         rar = make_bb_rar(
             inner=rar, introduced_cert=prev_cert,
             downstream=bbs[i + 1][0], bb=dn, bb_key=kp.private,
-            append=True,
             traceparent="00-0123456789abcdef-89abcdef-01" if last else None,
         )
         prev_cert = cert

@@ -11,6 +11,7 @@ reservation (``CPU_Reservation_ID=111`` in Figure 6).
 from __future__ import annotations
 
 import itertools
+import numbers
 import threading
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -56,6 +57,13 @@ _TRANSITIONS = {
 }
 
 
+#: ReservationRequest fields that must hold a string / a real number.
+_NAME_FIELDS = (
+    "source_host", "destination_host", "source_domain", "destination_domain",
+)
+_NUMERIC_FIELDS = ("rate_mbps", "start", "end", "burst_bits", "cost_ceiling")
+
+
 @dataclass(frozen=True)
 class ReservationRequest:
     """What a user asks for: the ``res_spec`` of the paper's notation.
@@ -80,6 +88,21 @@ class ReservationRequest:
     attributes: tuple[tuple[str, object], ...] = ()
 
     def __post_init__(self) -> None:
+        # Type checks first: a crafted res_spec off the wire must fail
+        # here as a typed error, not as a TypeError in a comparison below
+        # or later in admission or cost negotiation.
+        for name in _NAME_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, str):
+                raise ReservationStateError(
+                    f"{name} must be a string, got {type(value).__name__}"
+                )
+        for name in _NUMERIC_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ReservationStateError(
+                    f"{name} must be a number, got {type(value).__name__}"
+                )
         if self.rate_mbps <= 0:
             raise ReservationStateError("rate must be positive")
         if self.end <= self.start:

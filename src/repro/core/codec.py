@@ -245,10 +245,11 @@ def from_wire(data: bytes) -> Any:
 # ``from_wire``: every byte string either parses to an equal value
 # under both decoders or is rejected by both (the golden-vector corpus,
 # the Hypothesis round-trip suite and the bit-flip fuzz tests in
-# ``tests/`` enforce this).  All failures raise
+# ``tests/`` enforce this).  All wire failures raise
 # :class:`WireCodecError` subclasses (never bare ``KeyError`` /
 # ``ValueError``) at cost bounded by the buffer length and the
-# canonical depth bound.
+# canonical depth bound; a decoded protocol object that fails its own
+# validator raises that validator's typed error.
 
 _MAX_DEPTH = 200
 
@@ -744,8 +745,8 @@ class WireView:
         protocol messages) — found by skipping frames, not by decoding
         the message.  Total: returns ``None`` for scalars, sequences and
         anything malformed; :meth:`materialize` is the authority on
-        rejects, so a malformed message fails identically on the fast
-        and the slow path.  Memoized: the buffer is immutable, and the
+        rejects, so a malformed message fails exactly as it would under
+        the eager decoder.  Memoized: the buffer is immutable, and the
         ingress gate asks several times per message."""
         if self._kind_known:
             return self._kind

@@ -236,9 +236,9 @@ class ConcurrentSignaller:
             # The whole burst shares one verification-cache scope
             # (repro.crypto.batch): inner RAR layers, introduced
             # certificates and delegation links repeated across jobs are
-            # each verified once instead of once per job.  No-op when
-            # batched verification is disabled or global caches already
-            # feed every hop.
+            # each verified once instead of once per job.  When global
+            # caches are enabled they already feed every hop and are
+            # used as they are.
             with batch_verification.use_batch_caches():
                 with ThreadPoolExecutor(
                     max_workers=self.concurrency,

@@ -46,14 +46,14 @@ import threading
 import random
 import zlib
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence, TypeVar
+from functools import partial
+from typing import Any, Callable, Mapping, Sequence, TypeVar
 
 from repro.bb.broker import BandwidthBroker
 from repro.bb.reservations import ReservationRequest
 from repro.core.agent import UserAgent
 from repro.core.channel import ChannelRegistry, SecureChannel
-from repro.core import fastpath
-from repro.core.codec import WireView, from_wire
+from repro.core.codec import WireView
 from repro.crypto.dn import DistinguishedName
 from repro.core.envelope import SignedEnvelope
 from repro.core.messages import (
@@ -251,28 +251,12 @@ class HopByHopProtocol:
         breaker_policy: BreakerPolicy | None = None,
         hop_timeout_s: float = 0.25,
         rng: random.Random | None = None,
-        envelope_mode: str | None = None,
     ) -> None:
         self.brokers = dict(brokers)
         self.channels = channels
         self.domain_path = domain_path
         self.processing_delay_s = processing_delay_s
         self.clock = clock
-        #: ``"append"`` (default via :mod:`repro.core.fastpath`) — BBs
-        #: forward append-only chain layers whose signatures cover a
-        #: digest link to the received bytes; ``"nested"`` — the original
-        #: re-sign-the-whole-chain shape.  The differential harness runs
-        #: every scenario both ways and asserts identical decisions.
-        self.envelope_mode = (
-            envelope_mode
-            if envelope_mode is not None
-            else fastpath.get_config().envelope_mode
-        )
-        if self.envelope_mode not in ("append", "nested"):
-            raise SignallingError(
-                f"envelope_mode must be 'append' or 'nested', "
-                f"got {self.envelope_mode!r}"
-            )
         #: Optional trusted certificate repository (§6.4 alternative 2).
         #: When set, BBs do NOT carry introduced certificates in the RAR;
         #: every verifier resolves inner-signer keys by DN instead, paying
@@ -351,31 +335,16 @@ class HopByHopProtocol:
     def _decode_received(received: object, *, what: str) -> SignedEnvelope:
         """Structural validation of a delivered message.
 
-        Wire bytes are decoded through the zero-copy codec
-        (:class:`~repro.core.codec.WireView`, one fused pass) or — under
-        ``envelope_mode``-independent :mod:`~repro.core.fastpath` config
-        with ``zero_copy_ingress`` off — the eager two-pass codec.  Both
-        decoders accept exactly the same byte strings (the differential
-        suite's guarantee); anything that is not (or does not decode to)
-        a :class:`SignedEnvelope` raises a typed
-        :class:`MalformedMessageError`.  The catch is deliberately broad:
-        the eager decoder leaks ``KeyError``/``ValueError``/
-        ``AttributeError`` on exotic crafted inputs where the zero-copy
-        decoder raises typed :class:`~repro.core.codec.WireCodecError`s,
-        both decoders re-run protocol-object validators (a crafted
-        ``res_spec`` raises :class:`ReservationStateError`, a
-        :class:`~repro.errors.ReproError` outside the crypto branch —
-        the fuzz sweep found exactly this escape), and all of it must
-        classify as malformed, never crash the protocol.
+        Wire bytes are decoded by :class:`~repro.core.codec.WireView`,
+        whose every failure is a typed :class:`ReproError` (wire
+        corruption, or a crafted protocol object failing its own
+        validator).  That, or anything that is not a
+        :class:`SignedEnvelope`, becomes a :class:`MalformedMessageError`.
         """
         if isinstance(received, (bytes, bytearray, memoryview)):
             try:
-                if fastpath.get_config().zero_copy_ingress:
-                    received = WireView.parse(received).materialize()
-                else:
-                    received = from_wire(bytes(received))
-            except (ReproError, KeyError, ValueError, TypeError,
-                    AttributeError, OverflowError) as exc:
+                received = WireView.parse(received).materialize()
+            except ReproError as exc:
                 raise MalformedMessageError(
                     f"{what}: undecodable message: {exc}"
                 ) from exc
@@ -543,6 +512,45 @@ class HopByHopProtocol:
                     handle=handle, reason=reason,
                     reason_code=ReasonCode.UNWOUND,
                 )
+
+    @staticmethod
+    def _deny(
+        *,
+        domain: str,
+        reason: str,
+        reason_code: ReasonCode,
+        user: UserAgent,
+        request: ReservationRequest,
+        at_time: float,
+        event: tuple[EventKind, Mapping[str, Any]] | None = None,
+        signer: BandwidthBroker | None = None,
+    ) -> SignedEnvelope | None:
+        """Record one denial decided while signalling a request.
+
+        Emits the site's event first when *event* names one (its kind and
+        fields; ``at_time`` and ``domain`` are filled in here), then
+        writes the denial's single ``DENY`` decision record.  With a
+        *signer*, returns the denial that broker signs for the reply leg;
+        without one (the denial goes straight to the user) returns
+        ``None``.
+        """
+        if event is not None:
+            event_log = obs_events.get_event_log()
+            if event_log is not None:
+                kind, fields = event
+                event_log.emit(kind, at_time=at_time, domain=domain, **fields)
+        obs_audit.record_decision(
+            obs_audit.RecordKind.DENY,
+            at_time=at_time, domain=domain, user=str(user.dn),
+            reason=reason, reason_code=reason_code.value,
+            rate_mbps=request.rate_mbps,
+        )
+        if signer is None:
+            return None
+        return make_denial(
+            domain=domain, reason=reason,
+            bb=signer.dn, bb_key=signer.keypair.private,
+        )
 
     def _bb_credentials(
         self, bb: BandwidthBroker, chains: Sequence[Sequence[Certificate]]
@@ -797,8 +805,8 @@ class HopByHopProtocol:
         at_time: float,
     ) -> SignallingOutcome:
         registry = obs_metrics.get_registry()
-        event_log = obs_events.get_event_log()
         source_bb = self._broker(path[0])
+        deny = partial(self._deny, user=user, request=request, at_time=at_time)
 
         # --- request leg: hop by hop downstream --------------------------------
         sent_rar = rar
@@ -818,12 +826,9 @@ class HopByHopProtocol:
                 )
             outcome.denial_domain = path[0]
             outcome.denial_reason = f"source broker unreachable: {exc}"
-            obs_audit.record_decision(
-                obs_audit.RecordKind.DENY,
-                at_time=at_time, domain=path[0], user=str(user.dn),
-                reason=outcome.denial_reason,
-                reason_code=reason_code_for(exc).value,
-                rate_mbps=request.rate_mbps,
+            deny(
+                domain=path[0], reason=outcome.denial_reason,
+                reason_code=reason_code_for(exc),
             )
             return outcome
         except MalformedMessageError as exc:
@@ -837,18 +842,13 @@ class HopByHopProtocol:
                 )
             outcome.denial_domain = path[0]
             outcome.denial_reason = f"malformed envelope: {exc}"
-            if event_log is not None:
-                event_log.emit(
-                    EventKind.TRUST_FAILURE, at_time=at_time,
-                    domain=path[0], reason=str(exc),
-                    reason_code=ReasonCode.TRUST_FAILURE,
-                )
-            obs_audit.record_decision(
-                obs_audit.RecordKind.DENY,
-                at_time=at_time, domain=path[0], user=str(user.dn),
-                reason=outcome.denial_reason,
-                reason_code=ReasonCode.TRUST_FAILURE.value,
-                rate_mbps=request.rate_mbps,
+            deny(
+                domain=path[0], reason=outcome.denial_reason,
+                reason_code=ReasonCode.TRUST_FAILURE,
+                event=(EventKind.TRUST_FAILURE, {
+                    "reason": str(exc),
+                    "reason_code": ReasonCode.TRUST_FAILURE,
+                }),
             )
             return outcome
         if tracer is not None and root is not None:
@@ -911,24 +911,15 @@ class HopByHopProtocol:
                 # in-process chain is only a fallback for envelopes built
                 # while tracing was off.
                 carried_parent = _carried_parent_span_id(rar)
-                if carried_parent is not None:
-                    hop_span = tracer.begin(
-                        "hop",
-                        trace_id=root.trace_id,
-                        parent_span_id=carried_parent,
-                        start_wall=hop_t0,
-                        domain=domain,
-                        bb=str(bb.dn),
-                    )
-                else:
-                    hop_span = tracer.begin(
-                        "hop",
-                        trace_id=root.trace_id,
-                        parent=span_parent,
-                        start_wall=hop_t0,
-                        domain=domain,
-                        bb=str(bb.dn),
-                    )
+                hop_span = tracer.begin(
+                    "hop",
+                    trace_id=root.trace_id,
+                    parent=span_parent if carried_parent is None else None,
+                    parent_span_id=carried_parent,
+                    start_wall=hop_t0,
+                    domain=domain,
+                    bb=str(bb.dn),
+                )
                 hop_spans.append(hop_span)
                 span_parent = hop_span
 
@@ -959,21 +950,13 @@ class HopByHopProtocol:
                             "defense", parent=hop_span, start_wall=hop_t0,
                             status="rejected", error=reason,
                         )
-                    if event_log is not None:
-                        event_log.emit(
-                            EventKind.DENY, at_time=at_time, domain=domain,
-                            user=str(user.dn), reason=reason,
-                            reason_code=code,
-                        )
-                    obs_audit.record_decision(
-                        obs_audit.RecordKind.DENY,
-                        at_time=at_time, domain=domain, user=str(user.dn),
-                        reason=reason, reason_code=code.value,
-                        rate_mbps=request.rate_mbps,
-                    )
-                    denial = make_denial(
-                        domain=domain, reason=reason,
-                        bb=bb.dn, bb_key=bb.keypair.private,
+                    denial = deny(
+                        domain=domain, reason=reason, reason_code=code,
+                        event=(EventKind.DENY, {
+                            "user": str(user.dn), "reason": reason,
+                            "reason_code": code,
+                        }),
+                        signer=bb,
                     )
                     break
 
@@ -1079,24 +1062,14 @@ class HopByHopProtocol:
                         "verify", parent=hop_span, start_wall=phase_t0,
                         status="error", error=str(exc),
                     )
-                if event_log is not None:
-                    event_log.emit(
-                        EventKind.TRUST_FAILURE, at_time=at_time,
-                        domain=domain, reason=str(exc),
-                    )
-                obs_audit.record_decision(
-                    obs_audit.RecordKind.DENY,
-                    at_time=at_time, domain=domain, user=str(user.dn),
-                    reason=reason,
+                denial = deny(
+                    domain=domain, reason=reason,
                     reason_code=(
                         reason_code_for(exc) if exc is not None
                         else ReasonCode.TRUST_FAILURE
-                    ).value,
-                    rate_mbps=request.rate_mbps,
-                )
-                denial = make_denial(
-                    domain=domain, reason=reason,
-                    bb=bb.dn, bb_key=bb.keypair.private,
+                    ),
+                    event=(EventKind.TRUST_FAILURE, {"reason": str(exc)}),
+                    signer=bb,
                 )
                 break
             if tracer is not None:
@@ -1163,35 +1136,25 @@ class HopByHopProtocol:
                     if tracer is not None and hop_span is not None:
                         tracer.end(hop_span, status="failed", error=str(exc))
                     channels_walked.pop()
-                    obs_audit.record_decision(
-                        obs_audit.RecordKind.DENY,
-                        at_time=at_time, domain=domain, user=str(user.dn),
-                        reason=str(exc),
-                        reason_code=ReasonCode.BROKER_UNREACHABLE.value,
-                        rate_mbps=request.rate_mbps,
+                    denial = deny(
+                        domain=domain, reason=str(exc),
+                        reason_code=ReasonCode.BROKER_UNREACHABLE,
+                        signer=(
+                            self._broker(upstream)
+                            if upstream is not None else None
+                        ),
                     )
-                    if index == 0:
+                    if denial is None:
                         outcome.denial_domain = domain
                         outcome.denial_reason = str(exc)
                         return outcome
-                    prev_bb = self._broker(path[index - 1])
-                    denial = make_denial(
-                        domain=domain, reason=str(exc),
-                        bb=prev_bb.dn, bb_key=prev_bb.keypair.private,
-                    )
                 else:
                     # Policy server / repository stayed down, or the
                     # deadline passed: this hop is alive and denies.
-                    obs_audit.record_decision(
-                        obs_audit.RecordKind.DENY,
-                        at_time=at_time, domain=domain, user=str(user.dn),
-                        reason=str(exc),
-                        reason_code=reason_code_for(exc).value,
-                        rate_mbps=request.rate_mbps,
-                    )
-                    denial = make_denial(
+                    denial = deny(
                         domain=domain, reason=str(exc),
-                        bb=bb.dn, bb_key=bb.keypair.private,
+                        reason_code=reason_code_for(exc),
+                        signer=bb,
                     )
                 break
             if tracer is not None:
@@ -1237,16 +1200,10 @@ class HopByHopProtocol:
                     f"{accumulated_cost:.2f} so far, user accepts at most "
                     f"{request.cost_ceiling:.2f}"
                 )
-                obs_audit.record_decision(
-                    obs_audit.RecordKind.DENY,
-                    at_time=at_time, domain=domain, user=str(user.dn),
-                    reason=reason,
-                    reason_code=ReasonCode.COST_CEILING.value,
-                    rate_mbps=request.rate_mbps,
-                )
-                denial = make_denial(
+                denial = deny(
                     domain=domain, reason=reason,
-                    bb=bb.dn, bb_key=bb.keypair.private,
+                    reason_code=ReasonCode.COST_CEILING,
+                    signer=bb,
                 )
                 break
             outcome.cost = accumulated_cost
@@ -1316,7 +1273,6 @@ class HopByHopProtocol:
                 assertions=added_assertions,
                 bb=bb.dn,
                 bb_key=bb.keypair.private,
-                append=self.envelope_mode == "append",
                 # Rewrite the trace context: the downstream hop's spans
                 # hang under THIS hop's span, mirroring how this layer
                 # wraps the upstream RAR.
@@ -1338,39 +1294,25 @@ class HopByHopProtocol:
                     what=f"forward to {downstream}",
                 )
             except _DELIVERY_FAILURES as exc:
-                obs_audit.record_decision(
-                    obs_audit.RecordKind.DENY,
-                    at_time=at_time, domain=downstream, user=str(user.dn),
-                    reason=f"domain {downstream} unreachable: {exc}",
-                    reason_code=reason_code_for(exc).value,
-                    rate_mbps=request.rate_mbps,
-                )
-                denial = make_denial(
+                denial = deny(
                     domain=downstream,
                     reason=f"domain {downstream} unreachable: {exc}",
-                    bb=bb.dn, bb_key=bb.keypair.private,
+                    reason_code=reason_code_for(exc),
+                    signer=bb,
                 )
                 break
             except MalformedMessageError as exc:
                 # The forwarded copy arrived structurally broken at the
                 # downstream hop: a typed denial from there, upstream.
-                reason = f"malformed envelope at {downstream}: {exc}"
-                if event_log is not None:
-                    event_log.emit(
-                        EventKind.TRUST_FAILURE, at_time=at_time,
-                        domain=downstream, reason=str(exc),
-                        reason_code=ReasonCode.TRUST_FAILURE,
-                    )
-                obs_audit.record_decision(
-                    obs_audit.RecordKind.DENY,
-                    at_time=at_time, domain=downstream, user=str(user.dn),
-                    reason=reason,
-                    reason_code=ReasonCode.TRUST_FAILURE.value,
-                    rate_mbps=request.rate_mbps,
-                )
-                denial = make_denial(
-                    domain=downstream, reason=reason,
-                    bb=bb.dn, bb_key=bb.keypair.private,
+                denial = deny(
+                    domain=downstream,
+                    reason=f"malformed envelope at {downstream}: {exc}",
+                    reason_code=ReasonCode.TRUST_FAILURE,
+                    event=(EventKind.TRUST_FAILURE, {
+                        "reason": str(exc),
+                        "reason_code": ReasonCode.TRUST_FAILURE,
+                    }),
+                    signer=bb,
                 )
                 break
             if tracer is not None:
@@ -1483,12 +1425,9 @@ class HopByHopProtocol:
                 outcome.denial_domain = domain
                 outcome.denial_reason = f"approval could not be delivered: {exc}"
                 outcome.approval = None
-                obs_audit.record_decision(
-                    obs_audit.RecordKind.DENY,
-                    at_time=at_time, domain=domain, user=str(user.dn),
-                    reason=outcome.denial_reason,
-                    reason_code=reason_code_for(exc).value,
-                    rate_mbps=request.rate_mbps,
+                deny(
+                    domain=domain, reason=outcome.denial_reason,
+                    reason_code=reason_code_for(exc),
                 )
                 if tracer is not None:
                     if reply_parent is not None:
@@ -1604,8 +1543,8 @@ class HopByHopProtocol:
         except MalformedMessageError as exc:
             return reject(exc, WORK_DECODE)
         # Trace/deadline metadata of the outer layer, for the report.
-        # Scalar-filtered so both codecs (and crafted non-scalar fields)
-        # report identically; no re-parse — the envelope is materialized.
+        # Scalar-filtered so crafted non-scalar fields report as absent;
+        # no re-parse — the envelope is materialized.
         raw_tp = envelope.get(F_TRACEPARENT)
         traceparent = raw_tp if isinstance(raw_tp, str) else None
         raw_dl = envelope.get(F_DEADLINE)
@@ -1675,9 +1614,9 @@ class HopByHopProtocol:
         chains and delegation links repeated across the burst are checked
         once and reused, with the PR-5 hit-time guards re-validating
         every reuse, so a revocation landing mid-burst still rejects
-        exactly as it would sequentially.  A no-op scope (and therefore
-        literally the sequential loop) when batched verification is
-        disabled via :mod:`repro.core.fastpath`.
+        exactly as it would sequentially.  When the process-global
+        verification caches are already enabled the burst feeds them
+        directly instead of opening a narrower scope.
         """
         with batch_verification.use_batch_caches():
             return [

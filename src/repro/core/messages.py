@@ -68,9 +68,9 @@ F_CAPABILITY_CERTS = "capability_certs"
 F_ASSERTIONS = "assertions"
 F_INNER = "inner_rar"
 #: Append-only chain link (:data:`repro.core.envelope.LINK_DIGEST_FIELD`):
-#: SHA-256 of the inner envelope's canonical bytes.  Present iff the
-#: wrapping BB forwarded in append mode; the wrapper's signature then
-#: covers this digest instead of the re-encoded inner chain.
+#: SHA-256 of the inner envelope's canonical bytes.  Every BB layer
+#: carries it; the wrapper's signature covers this digest instead of the
+#: re-encoded inner chain.
 #: :func:`unwrap_rar_layers` re-derives and checks the link on every
 #: unwrap, so tampering any inner byte still voids the chain.
 F_INNER_DIGEST = LINK_DIGEST_FIELD
@@ -143,7 +143,6 @@ def make_bb_rar(
     bb: DistinguishedName,
     bb_key: PrivateKey,
     traceparent: str | None = None,
-    append: bool = False,
 ) -> SignedEnvelope:
     """``RAR_{N+1}``: a BB wraps the received RAR, introduces the upstream
     signer's certificate (learned in the SSL handshake), names the next
@@ -157,12 +156,13 @@ def make_bb_rar(
     trace context is rewritten at every hop, unlike the deadline, which
     is copied verbatim from the inner layer).
 
-    ``append=True`` forwards as an append-only chain layer: the payload
-    additionally carries :data:`F_INNER_DIGEST` and this BB's signature
-    covers that digest *instead of* the inner envelope, so wrapping costs
-    O(this layer) signature work rather than O(chain).  Verification
-    semantics are unchanged — :func:`unwrap_rar_layers` checks the link
-    digest, and each layer's own signature is still checked as before.
+    The layer is appended to the chain: the payload carries
+    :data:`F_INNER_DIGEST` and this BB's signature covers that digest
+    *instead of* the inner envelope, so wrapping costs O(this layer)
+    signature work rather than O(chain).  The chain has the §6.4 shape —
+    :func:`unwrap_rar_layers` checks each link digest, and each layer's
+    own signature is still checked as before.  Chains whose layers
+    re-sign the whole nested inner envelope (no link) still verify.
     """
     if inner.get(F_TYPE) != MSG_RAR:
         raise SignallingError("inner message is not a RAR")
@@ -177,9 +177,8 @@ def make_bb_rar(
         F_DOWNSTREAM: downstream,
         F_CAPABILITY_CERTS: tuple(capability_certs),
         F_ASSERTIONS: tuple(assertions),
+        F_INNER_DIGEST: chain_link_digest(inner),
     }
-    if append:
-        payload[F_INNER_DIGEST] = chain_link_digest(inner)
     deadline = inner.get(F_DEADLINE)
     if deadline is not None:
         payload[F_DEADLINE] = deadline
@@ -237,12 +236,12 @@ def unwrap_rar_layers(rar: SignedEnvelope) -> list[SignedEnvelope]:
     """Return the layers of a nested RAR, outermost first (the user's
     original request last).
 
-    Append-mode layers (:data:`F_INNER_DIGEST` present) additionally get
-    their chain link verified here: the inner envelope's canonical bytes
-    must hash to the signed digest.  This runs *before* any signature
-    check in the trust verifiers, so a tampered inner layer fails the
-    chain exactly as it would have failed the enclosing signature in
-    nested mode.
+    Linked layers (:data:`F_INNER_DIGEST` present, as every
+    :func:`make_bb_rar` layer is) additionally get their chain link
+    verified here: the inner envelope's canonical bytes must hash to the
+    signed digest.  This runs *before* any signature check in the trust
+    verifiers, so a tampered inner layer fails the chain exactly as it
+    fails the enclosing signature of an unlinked, fully nested layer.
     """
     layers = []
     current: SignedEnvelope | None = rar

@@ -11,13 +11,16 @@ Covers the two ingress-facing robustness guarantees:
   the protocol's verification counter does not move).
 """
 
+import copy
+
 import pytest
 
 from repro.bb.defense import DefensePolicy
-from repro.core.codec import to_wire
+from repro.core.codec import WireView, to_wire
 from repro.core.hopbyhop import WORK_DECODE, WORK_GATE, WORK_VERIFY
 from repro.core.messages import make_user_rar
 from repro.core.testbed import build_linear_testbed
+from repro.errors import ReproError
 from repro.obs.events import ReasonCode
 
 
@@ -71,6 +74,41 @@ class TestMalformedIngress:
         assert report.reason_code == ReasonCode.TRUST_FAILURE.value
         assert report.reason
         assert report.work_units == WORK_DECODE
+
+    @pytest.mark.parametrize(("field", "value"), [
+        ("rate_mbps", "x"),
+        ("rate_mbps", None),
+        ("rate_mbps", [1]),
+        ("start", "x"),
+        ("end", "x"),
+        ("cost_ceiling", "x"),
+        ("burst_bits", None),
+        ("source_host", 1),
+    ])
+    def test_mistyped_res_spec_is_typed_denial(self, testbed, field, value):
+        """A signed RAR whose res_spec carries a field of the wrong type
+        fails to decode with a typed error, and ingress denies it."""
+        user = testbed.add_user("B", "Bob")
+        request = copy.copy(testbed.make_request(
+            source="B", destination="A", bandwidth_mbps=5.0,
+            start=0.0, duration=60.0,
+        ))
+        # Bypass the constructor's validation, as a crafted wire would.
+        object.__setattr__(request, field, value)
+        wire = to_wire(make_user_rar(
+            request=request,
+            source_bb=testbed.brokers["B"].dn,
+            user=user.dn,
+            user_key=user.keypair.private,
+        ))
+        with pytest.raises(ReproError):
+            WireView.parse(wire).materialize()
+        report = testbed.hop_by_hop.process_ingress(
+            "B", wire, peer=str(user.dn),
+            peer_certificate=user.certificate, at_time=0.0,
+        )
+        assert not report.accepted
+        assert report.reason_code == ReasonCode.TRUST_FAILURE.value
 
     def test_non_envelope_object_is_typed_denial(self, testbed):
         report = testbed.hop_by_hop.process_ingress(

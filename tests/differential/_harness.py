@@ -1,24 +1,25 @@
 """Plumbing for the differential harness.
 
 ``run_both(scenario)`` executes a zero-argument scenario callable twice
-— once per :mod:`repro.core.fastpath` configuration — on completely
-fresh state (the scenario builds its own testbed), and returns the two
-results for comparison.  The normalizers below project protocol
-outcomes and audit ledgers onto the fields that must be identical
-across the modes, excluding the ones that differ *by design*:
+on completely fresh state (the scenario builds its own testbed): once
+with the test-side oracles of :mod:`tests.differential.oracles`
+installed in place of production's nested-chain-free wrap, zero-copy
+decoder and batch-verification scope, and once on production as it
+ships.  The normalizers below project protocol outcomes and audit
+ledgers onto the fields that must be identical across the two runs,
+excluding the ones that differ *by design*:
 
-* ``bytes`` / wire sizes — an append-mode RAR layer carries the signed
-  inner digest on top of the inner envelope, so fast-path wires are a
-  few dozen bytes larger per hop;
+* ``bytes`` / wire sizes — a production RAR layer carries the signed
+  inner digest on top of the inner envelope, so its wires are a few
+  dozen bytes larger per hop than the nested oracle's;
 * ``correlation_id`` — minted fresh per signalling attempt;
 * check-record ``source`` (optionally) — a batched run may answer a
   sub-verification from the shared batch cache scope where the
-  sequential run verified fresh; the *verdict* must still match.
+  sequential oracle verified fresh; the *verdict* must still match.
 """
 
 import re
 
-from repro.core import fastpath
 from repro.core.messages import (
     F_DOMAIN,
     F_HANDLE,
@@ -26,8 +27,7 @@ from repro.core.messages import (
     unwrap_rar_layers,
 )
 
-FAST = fastpath.FastPathConfig()
-SLOW = fastpath.FastPathConfig().slow()
+from tests.differential import oracles
 
 
 #: Process-global sequence identifiers (reservation handles, trace
@@ -59,22 +59,21 @@ def canonicalize(value, _memo=None):
 
 
 def run_both(scenario):
-    """Run *scenario* under the slow then the fast configuration.
+    """Run *scenario* against the oracles, then on production.
 
-    Returns ``(fast_result, slow_result)``, each canonicalized.  Each
-    invocation must build all of its own state so nothing leaks across
-    modes.
+    Returns ``(production_result, oracle_result)``, each canonicalized.
+    Each invocation must build all of its own state so nothing leaks
+    across the two runs.
     """
-    with fastpath.use_config(SLOW):
-        slow = scenario()
-    with fastpath.use_config(FAST):
-        fast = scenario()
-    return canonicalize(fast), canonicalize(slow)
+    with oracles.installed():
+        oracle = scenario()
+    production = scenario()
+    return canonicalize(production), canonicalize(oracle)
 
 
 def outcome_facts(outcome):
     """A :class:`~repro.core.hopbyhop.SignallingOutcome`, minus the
-    fields that differ by design between envelope modes."""
+    fields that differ by design between chain shapes."""
     verified = outcome.verified
     return {
         "granted": outcome.granted,

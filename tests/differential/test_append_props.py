@@ -1,9 +1,10 @@
 """Property suite: append-only chains == rebuilt nested chains.
 
 For random hop chains (length, rates, deadlines drawn by Hypothesis),
-building the chain in append mode (each BB signs the inner layer's
-digest link) and in nested mode (each BB re-signs the whole inner
-envelope) must be observably identical: same layers, same signers, same
+building the chain with production's wrap (each BB signs the inner
+layer's digest link) and with the nested oracle
+(:func:`tests.differential.oracles.make_nested_bb_rar`, each BB re-signs
+the whole inner envelope) must be observably identical: same layers, same signers, same
 payload fields, same verification verdict at every layer — and the same
 *rejection* when any inner layer is tampered with.
 """
@@ -25,6 +26,8 @@ from repro.core.messages import (
 from repro.crypto.dn import DN
 from repro.crypto.x509 import CertificateAuthority
 from repro.errors import SignallingError, TamperedMessageError
+
+from tests.differential.oracles import make_nested_bb_rar
 
 SETTINGS = settings(
     max_examples=200,
@@ -76,16 +79,16 @@ class Chainyard:
             user_key=self.user_keys.private,
             deadline=deadline,
         )
+        wrap = make_bb_rar if append else make_nested_bb_rar
         previous_cert = self.user_cert
         for hop in range(hops):
             keys, cert = self.bbs[hop]
-            rar = make_bb_rar(
+            rar = wrap(
                 inner=rar,
                 introduced_cert=previous_cert,
                 downstream=self.bbs[hop + 1][1].subject,
                 bb=cert.subject,
                 bb_key=keys.private,
-                append=append,
             )
             previous_cert = cert
         return rar

@@ -27,17 +27,15 @@ from repro.core.codec import (
 )
 from repro.errors import ReproError
 
+from tests.differential.oracles import EagerWire
 from tests.vectors.build_vectors import build_all
 
-#: What HopByHopProtocol._decode_received catches (a decoder error
-#: outside this set would escape process_ingress as a crash).  ReproError
-#: is in the set because decoding re-runs protocol-object validators —
-#: this sweep originally caught a crafted res_spec escaping ingress as a
-#: ReservationStateError.
-INGRESS_CATCHABLE = (
-    ReproError, KeyError, ValueError, TypeError, AttributeError,
-    OverflowError,
-)
+#: What HopByHopProtocol._decode_received catches (a decoder error of
+#: any other type would escape process_ingress as a crash).  Decoding
+#: re-runs protocol-object validators, so a crafted res_spec fails as a
+#: typed ReservationStateError — this sweep originally caught one
+#: escaping ingress.
+INGRESS_CATCHABLE = ReproError
 
 
 def _frame(tag: bytes, payload: bytes) -> bytes:
@@ -55,6 +53,10 @@ def _zero_copy(wire):
     return WireView.parse(wire).materialize()
 
 
+def _eager(wire):
+    return EagerWire.parse(wire).materialize()
+
+
 @pytest.fixture(scope="module")
 def vectors():
     return build_all()
@@ -65,7 +67,7 @@ class TestTruncation:
         wire = vectors["rar_user"]
         for cut in range(len(wire)):
             prefix = wire[:cut]
-            old = _classify(from_wire, prefix)
+            old = _classify(_eager, prefix)
             new = _classify(_zero_copy, prefix)
             assert old[0] == "err" and new[0] == "err", (
                 f"prefix of {cut} bytes accepted"
@@ -75,7 +77,7 @@ class TestTruncation:
         wire = vectors["denial"]
         for junk in (b"\x00", b"N" + b"\x00" * 4, b"\xff" * 7):
             extended = wire + junk
-            assert _classify(from_wire, extended)[0] == "err"
+            assert _classify(_eager, extended)[0] == "err"
             with pytest.raises(WireCodecError):
                 _zero_copy(extended)
 
@@ -86,7 +88,7 @@ class TestHostileFrames:
             case = tag + (0xFFFFFFFF).to_bytes(4, "big") + b"payload"
             with pytest.raises(TruncatedWireError):
                 _zero_copy(case)
-            assert _classify(from_wire, case)[0] == "err"
+            assert _classify(_eager, case)[0] == "err"
 
     def test_depth_bomb_rejected_cheaply(self):
         bomb = _frame(b"N", b"")
@@ -94,7 +96,7 @@ class TestHostileFrames:
             bomb = _frame(b"L", bomb)
         with pytest.raises(WireDepthError):
             _zero_copy(bomb)
-        assert _classify(from_wire, bomb)[0] == "err"
+        assert _classify(_eager, bomb)[0] == "err"
 
     def test_depth_at_bound_still_parses(self):
         nested = _frame(b"N", b"")
@@ -108,7 +110,7 @@ class TestHostileFrames:
         wire = _frame(b"M", key + value + key + value)
         with pytest.raises(WireCodecError):
             _zero_copy(wire)
-        assert _classify(from_wire, wire)[0] == "err"
+        assert _classify(_eager, wire)[0] == "err"
 
     def test_unsorted_map_keys_rejected(self):
         pair_b = _frame(b"S", b"b") + _frame(b"N", b"")
@@ -116,20 +118,20 @@ class TestHostileFrames:
         wire = _frame(b"M", pair_b + pair_a)
         with pytest.raises(WireCodecError):
             _zero_copy(wire)
-        assert _classify(from_wire, wire)[0] == "err"
+        assert _classify(_eager, wire)[0] == "err"
 
     def test_unknown_tag_rejected(self):
         for tag in (b"Z", b"\x00", b"\xff"):
             wire = _frame(tag, b"x")
             with pytest.raises(WireCodecError):
                 _zero_copy(wire)
-            assert _classify(from_wire, wire)[0] == "err"
+            assert _classify(_eager, wire)[0] == "err"
 
     def test_noncanonical_integer_rejected(self):
         wire = _frame(b"I", b"\x00\x01")  # leading zero byte
         with pytest.raises(WireCodecError):
             _zero_copy(wire)
-        assert _classify(from_wire, wire)[0] == "err"
+        assert _classify(_eager, wire)[0] == "err"
 
 
 class TestBitFlipSweep:
@@ -144,7 +146,7 @@ class TestBitFlipSweep:
             for bit in range(8):
                 wire[position] = original ^ (1 << bit)
                 mutated = bytes(wire)
-                old = _classify(from_wire, mutated)
+                old = _classify(_eager, mutated)
                 new = _classify(_zero_copy, mutated)
                 if old[0] != new[0] or (
                     old[0] == "ok" and old[1] != new[1]
@@ -165,7 +167,7 @@ class TestBitFlipSweep:
             original = wire[position]
             wire[position] = original ^ (1 << rng.randrange(8))
             mutated = bytes(wire)
-            assert _classify(from_wire, mutated)[0] == \
+            assert _classify(_eager, mutated)[0] == \
                 _classify(_zero_copy, mutated)[0]
             wire[position] = original
 
@@ -175,7 +177,7 @@ class TestGarbage:
         rng = random.Random(1234)
         for _ in range(500):
             blob = rng.randbytes(rng.randrange(0, 64))
-            old = _classify(from_wire, blob)
+            old = _classify(_eager, blob)
             new = _classify(_zero_copy, blob)
             assert old[0] == new[0]
             assert new[0] == "err" or old[1] == new[1]

@@ -1,8 +1,8 @@
-"""Differential scenarios: every figure/claim workload, fast vs slow.
+"""Differential scenarios: every figure/claim workload, production vs oracle.
 
-Each test runs one paper scenario twice on fresh testbeds — once under
-the legacy miss path, once under the fast path — and asserts identical
-decisions, handles, denial reasons, reason codes, audit ledgers and
+Each test runs one paper scenario twice on fresh testbeds — once with
+the test-side oracles installed, once on production — and asserts
+identical decisions, handles, denial reasons, reason codes, audit ledgers and
 verification semantics.  See ``tests/differential/__init__`` for what
 is (and deliberately is not) compared.
 """
@@ -48,9 +48,9 @@ class TestFourDomainReservation:
             )
             return outcome_facts(outcome), decision_rows(ledger)
 
-        fast, slow = run_both(scenario)
-        assert fast == slow
-        facts, rows = fast
+        production, oracle = run_both(scenario)
+        assert production == oracle
+        facts, rows = production
         assert facts["granted"]
         assert set(facts["handles"]) == {"A", "B", "C", "D"}
         assert facts["verified"]["user"].endswith("CN=Alice")
@@ -68,9 +68,9 @@ class TestFourDomainReservation:
             )
             return outcome_facts(outcome), decision_rows(ledger)
 
-        fast, slow = run_both(scenario)
-        assert fast == slow
-        facts, _ = fast
+        production, oracle = run_both(scenario)
+        assert production == oracle
+        facts, _ = production
         assert not facts["granted"]
         assert facts["denial_domain"] == "C"
         assert facts["denial_reason"]
@@ -89,9 +89,9 @@ class TestFourDomainReservation:
             )
             return outcome_facts(first), outcome_facts(second)
 
-        fast, slow = run_both(scenario)
-        assert fast == slow
-        first, second = fast
+        production, oracle = run_both(scenario)
+        assert production == oracle
+        first, second = production
         assert first["granted"] and not second["granted"]
 
 
@@ -119,9 +119,9 @@ class TestTunnelScenario:
                 tunnel.allocated_mbps(0.0, 3600.0),
             )
 
-        fast, slow = run_both(scenario)
-        assert fast == slow
-        facts, flow = fast
+        production, oracle = run_both(scenario)
+        assert production == oracle
+        facts, flow = production
         assert facts["granted"]
         assert flow is not None
 
@@ -145,15 +145,15 @@ class TestMisreservationAttack:
             )
             return source_outcome_facts(outcome), decision_rows(ledger)
 
-        fast, slow = run_both(scenario)
-        assert fast == slow
-        facts, _ = fast
+        production, oracle = run_both(scenario)
+        assert production == oracle
+        facts, _ = production
         assert facts["skipped"] == ("C",)
         assert not facts["complete"]
 
     def test_concurrent_source_domain_identical(self):
-        """Concurrent Approach 1 uses the batched-verification scope on
-        the fast path; per-domain outcomes must not change.  Provenance
+        """Concurrent Approach 1 uses the batched-verification scope in
+        production; per-domain outcomes must not change.  Provenance
         *sources* may differ (cache vs fresh), so the ledger comparison
         here masks them; the verdicts themselves must match."""
         @_audited
@@ -173,9 +173,9 @@ class TestMisreservationAttack:
                 decision_rows(ledger, provenance_sources=False),
             )
 
-        fast, slow = run_both(scenario)
-        assert fast == slow
-        facts, _ = fast
+        production, oracle = run_both(scenario)
+        assert production == oracle
+        facts, _ = production
         assert facts["granted"] and facts["complete"]
 
 
@@ -207,15 +207,15 @@ class TestConcurrentBatch:
                 for item in result.scheduled
             ], result.makespan_s
 
-        fast, slow = run_both(scenario)
-        assert fast == slow
-        scheduled, _ = fast
+        production, oracle = run_both(scenario)
+        assert production == oracle
+        scheduled, _ = production
         assert all(error == "" for error, _ in scheduled)
         assert all(facts["granted"] for _, facts in scheduled)
 
 
 class TestIngressDifferential:
-    """process_ingress reports — gate, decode, verify — fast vs slow."""
+    """process_ingress reports — gate, decode, verify — production vs oracle."""
 
     @staticmethod
     def _wire_and_mutations():
@@ -267,14 +267,14 @@ class TestIngressDifferential:
                 )
             return reports
 
-        fast, slow = run_both(scenario)
-        assert fast == slow
-        assert fast["well-formed"][0] is True
-        assert fast["well-formed"][5] == "00-feed-beef-01"  # traceparent
-        assert fast["well-formed"][6] == 25.0               # deadline
+        production, oracle = run_both(scenario)
+        assert production == oracle
+        assert production["well-formed"][0] is True
+        assert production["well-formed"][5] == "00-feed-beef-01"  # traceparent
+        assert production["well-formed"][6] == 25.0  # deadline
         for name in ("truncated", "bit-flipped", "garbage",
                      "invalid-res-spec"):
-            accepted, _, verified, reason, reason_code = fast[name][:5]
+            accepted, _, verified, reason, reason_code = production[name][:5]
             assert not accepted and not verified
             assert reason and reason_code
 
@@ -288,9 +288,9 @@ class TestIngressDifferential:
             )
             return [ingress_facts(r) for r in batch]
 
-        fast, slow = run_both(scenario)
-        assert fast == slow
-        assert fast[0][0] is True
+        production, oracle = run_both(scenario)
+        assert production == oracle
+        assert production[0][0] is True
 
 
 class TestChaosSlice:
@@ -310,8 +310,8 @@ class TestChaosSlice:
             )
             return report.schedule_digest, trials, ledger_rows
 
-        fast, slow = run_both(scenario)
-        assert fast[0] == slow[0]          # same fault schedule
-        assert fast[1] == slow[1]          # same per-trial verdicts
-        assert fast[2] == slow[2]          # same audit ledger
-        assert all(not t[5] and not t[6] for t in fast[1])
+        production, oracle = run_both(scenario)
+        assert production[0] == oracle[0]  # same fault schedule
+        assert production[1] == oracle[1]  # same per-trial verdicts
+        assert production[2] == oracle[2]  # same audit ledger
+        assert all(not t[5] and not t[6] for t in production[1])

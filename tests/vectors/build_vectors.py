@@ -15,7 +15,13 @@ regenerating the corpus without noticing.
 from __future__ import annotations
 
 import random
+import sys
 from pathlib import Path
+
+if __package__ in (None, ""):
+    # Run as a script: the nested-chain oracle lives in the test tree,
+    # so the repository root must be importable.
+    sys.path.insert(0, str(Path(__file__).resolve().parents[2]))
 
 from repro.bb.reservations import ReservationRequest
 from repro.core.codec import to_wire
@@ -28,6 +34,8 @@ from repro.core.messages import (
 from repro.crypto.dn import DN
 from repro.crypto.x509 import CertificateAuthority
 from repro.net.packet import DSCP
+
+from tests.differential.oracles import make_nested_bb_rar
 
 VECTOR_DIR = Path(__file__).resolve().parent
 
@@ -72,16 +80,16 @@ def _chain(append: bool):
         deadline=30.0,
         traceparent="00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01",
     )
+    wrap = make_bb_rar if append else make_nested_bb_rar
     previous = user_cert
     for hop in range(HOPS):
         keys, cert = bbs[hop]
-        rar = make_bb_rar(
+        rar = wrap(
             inner=rar,
             introduced_cert=previous,
             downstream=bbs[hop + 1][1].subject,
             bb=cert.subject,
             bb_key=keys.private,
-            append=append,
         )
         previous = cert
     return rar
@@ -166,8 +174,6 @@ def main(argv: list[str] | None = None) -> int:
     """Regenerate the corpus, or with ``--check`` verify the committed
     files match a fresh deterministic rebuild (exit 1 on any drift,
     missing vector, or stray ``.bin``)."""
-    import sys
-
     args = sys.argv[1:] if argv is None else argv
     fresh = build_all()
     if "--check" in args:
